@@ -33,9 +33,11 @@ fmt-check:
 # overhead budgets, the workers=N report identity, the ≥1.5× two-node
 # sweep throughput floor, the overload-protection goodput story, and the
 # attack search's evals-to-first-break / ≥50 % lake-dedup-on-rerun bars.
+# Every benchmark runs five times; benchjson keeps the median of each value
+# and the fastest and slowest ns/op.
 BENCH_PATTERN := BenchmarkDeepPendingRetirement|BenchmarkCancellationHeavyChain|BenchmarkObserverOverhead|BenchmarkEventTimeValidation|BenchmarkSimulatorRingOscillator|BenchmarkCampaignParallel|BenchmarkServerSubmitLatency|BenchmarkServerThroughput|BenchmarkClusterDispatch|BenchmarkClusterSweepThroughput|BenchmarkOverloadGoodput|BenchmarkAttackConvergence
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count 1 ./internal/sim/ ./internal/cluster/ . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count 5 ./internal/sim/ ./internal/cluster/ . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_sim.json
 
 clean:

@@ -60,3 +60,40 @@ func TestParseRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+func TestParseCollapsesRepeats(t *testing.T) {
+	const repeats = `pkg: involution/internal/sim
+BenchmarkRing-2   	100	  3000 ns/op	  10 events	  64 B/op	  2 allocs/op
+BenchmarkRing-2   	120	  1000 ns/op	  10 events	  64 B/op	  2 allocs/op
+BenchmarkOther-2  	 10	   500 ns/op
+BenchmarkRing-2   	110	  2000 ns/op	  10 events	  80 B/op	  3 allocs/op
+BenchmarkRing-2   	 90	  9000 ns/op	  10 events	  80 B/op	  3 allocs/op
+pkg: involution
+BenchmarkRing-2   	  7	   700 ns/op
+`
+	rep, err := parse(bufio.NewScanner(strings.NewReader(repeats)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("want 3 entries (repeats collapsed per package), got %+v", rep.Benchmarks)
+	}
+	ring, other, root := rep.Benchmarks[0], rep.Benchmarks[1], rep.Benchmarks[2]
+	if ring.Name != "BenchmarkRing" || other.Name != "BenchmarkOther" || root.Pkg != "involution" {
+		t.Fatalf("first-run order not kept: %+v", rep.Benchmarks)
+	}
+	// Four runs: the medians are the means of the two middle values.
+	if ring.Runs != 4 || ring.NsPerOp != 2500 || ring.NsPerOpMin != 1000 || ring.NsPerOpMax != 9000 {
+		t.Errorf("ns/op median/min/max: %+v", ring)
+	}
+	if ring.Iterations != 105 || *ring.BytesPerOp != 72 || *ring.AllocsPerOp != 2.5 || ring.Metrics["events"] != 10 {
+		t.Errorf("collapsed fields: %+v", ring)
+	}
+	// events/sec derives from the median ns/op: 10 events / 2500 ns.
+	if ns := 2500.0; ring.EventsPerSec == nil || *ring.EventsPerSec != 10/(ns*1e-9) {
+		t.Errorf("events/sec: %+v", ring)
+	}
+	if other.Runs != 1 || other.NsPerOp != 500 || other.NsPerOpMin != 500 || other.NsPerOpMax != 500 || other.AllocsPerOp != nil {
+		t.Errorf("single run: %+v", other)
+	}
+}

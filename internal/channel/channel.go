@@ -104,9 +104,14 @@ func Run(m Model, s signal.Signal) (signal.Signal, error) {
 // pairwise against the latest pending output; past-due outputs with nothing
 // pending are clamped to the current time.
 type historyInstance struct {
-	step      func(t float64, rising bool) float64
-	pending   []float64 // scheduled output times; entries > now are pending
-	lastFired float64   // latest output time known delivered
+	step func(t float64, rising bool) float64
+	// pending[head:] holds the scheduled output times still pending. Fired
+	// entries advance head; the dead prefix is copied away only when the
+	// backing array is full and at least half dead, so Input is amortized
+	// O(1) and allocation-free in steady state.
+	pending   []float64
+	head      int
+	lastFired float64 // latest output time known delivered
 }
 
 func newHistoryInstance(step func(t float64, rising bool) float64) *historyInstance {
@@ -115,12 +120,15 @@ func newHistoryInstance(step func(t float64, rising bool) float64) *historyInsta
 
 func (h *historyInstance) Input(t float64, to signal.Value) Action {
 	// Retire entries that have fired by now.
-	for len(h.pending) > 0 && h.pending[0] <= t {
-		h.lastFired = h.pending[0]
-		h.pending = h.pending[1:]
+	for h.head < len(h.pending) && h.pending[h.head] <= t {
+		h.lastFired = h.pending[h.head]
+		h.head++
+	}
+	if h.head == len(h.pending) {
+		h.pending, h.head = h.pending[:0], 0
 	}
 	out := h.step(t, to == signal.High)
-	if n := len(h.pending); n > 0 && h.pending[n-1] >= out {
+	if n := len(h.pending); n > h.head && h.pending[n-1] >= out {
 		h.pending = h.pending[:n-1]
 		return Action{Cancel: true}
 	}
@@ -128,6 +136,10 @@ func (h *historyInstance) Input(t float64, to signal.Value) Action {
 		// Past-due output with nothing to cancel against: clamp to "now"
 		// (the online divergence documented on the package).
 		out = math.Nextafter(math.Max(t, h.lastFired), math.Inf(1))
+	}
+	if len(h.pending) == cap(h.pending) && 2*h.head >= len(h.pending) {
+		h.pending = h.pending[:copy(h.pending, h.pending[h.head:])]
+		h.head = 0
 	}
 	h.pending = append(h.pending, out)
 	return Action{Schedule: true, At: out, To: to}

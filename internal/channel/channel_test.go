@@ -402,3 +402,34 @@ func TestHistoryInstancePastDueClamp(t *testing.T) {
 		t.Fatalf("past-due not clamped to now: %+v", a2)
 	}
 }
+
+func TestHistoryInstanceInputAllocationFree(t *testing.T) {
+	// Steady-state Input must not allocate, whether the pending list stays
+	// deep (a long delay behind a fast train, as on the simulator's
+	// DeepPendingRetirement workload) or drains between inputs.
+	for _, tc := range []struct {
+		name     string
+		delay    float64
+		interval float64
+	}{{"deep", 500, 0.5}, {"shallow", 0.3, 1}} {
+		p, err := NewPure(tc.delay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := p.NewInstance()
+		now, v := 0.0, signal.Low
+		input := func() {
+			now += tc.interval
+			v = v.Not()
+			if act := inst.Input(now, v); !act.Schedule || act.At != now+tc.delay {
+				t.Fatalf("%s: action %+v at t=%g", tc.name, act, now)
+			}
+		}
+		for i := 0; i < 5000; i++ {
+			input()
+		}
+		if got := testing.AllocsPerRun(5000, input); got != 0 {
+			t.Errorf("%s: %v allocs per steady-state Input, want 0", tc.name, got)
+		}
+	}
+}

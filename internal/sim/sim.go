@@ -5,10 +5,16 @@
 // state, transition cancellation (as performed by commercial simulators
 // that drop non-FIFO transitions), and records the full signal at every
 // node.
+//
+// The kernel is index-based: nodes and edges are addressed by index,
+// events are values in a slab ordered by a 4-ary heap of slot ids,
+// canceled events stay queued as tombstones until popped, delta cycles run
+// on reusable epoch-stamped worklists, and per-edge pending lists are
+// head-indexed FIFOs. None of these allocate per event. Runs are
+// deterministic by construction; Run documents the evaluation order.
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -125,49 +131,58 @@ type Result struct {
 	Stats RunStats
 }
 
-// event is a scheduled transition delivery.
+// event is a scheduled transition delivery. Events live by value in the
+// simulation's slab and are referred to by their slot id.
 type event struct {
 	at       float64
 	seq      int64
+	edge     int32 // index into edges; -1 for input-port stimuli
+	node     int32 // destination node index
+	pin      int32
 	to       signal.Value
-	edge     int // index into edges; -1 for input-port stimuli
-	node     string
-	pin      int
-	canceled bool
+	canceled bool // tombstone: stays queued until popped
 }
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-func (q eventQueue) peek() *event  { return q[0] }
-
-var _ heap.Interface = (*eventQueue)(nil)
 
 type nodeState struct {
 	node   *circuit.Node
+	eval   func([]signal.Value) signal.Value // gates only
 	val    signal.Value
 	trs    []signal.Transition
 	pins   []signal.Value
-	fanout []int // indices into the simulation's edge list
+	fanout []int32 // indices into the simulation's edge list
+	watch  Monitor // nil unless Options.Watch names the node
+	mark   uint64  // epoch of the node's last worklist insertion
+	stim   int32   // input ports: index into the simulation's stimuli
+}
+
+// stimulus is one input port's transition list. Its transitions take
+// consecutive sequence numbers at setup, but only the next one sits in the
+// heap: the port's later transitions cannot be due before it.
+type stimulus struct {
+	sig  signal.Signal
+	node int32
+	seq  int64 // sequence number of sig's first transition
+	next int   // index of the transition in the heap
 }
 
 type edgeState struct {
-	edge    circuit.Edge
-	inst    channel.Instance
-	pending []*event
+	inst     channel.Instance
+	from, to int32 // node indices
+	pin      int32
+	pending  pendingList // slot ids of scheduled, undelivered outputs
 }
 
 // Run simulates the circuit with the given input-port signals up to the
 // horizon and returns the recorded signals of every node.
+//
+// Runs are deterministic by construction. Events at one timestamp are
+// applied in scheduling order. Within a delta cycle, nodes are evaluated in
+// the order they joined the worklist, and changed nodes propagate, in the
+// order they changed, through their fanout edges in circuit edge order;
+// the time-0 evaluation visits nodes in circuit order. Channel instances
+// are therefore called in the same order on every run, so adversaries that
+// share state across edges (one RNG for several channels) reproduce
+// exactly.
 //
 // A panic raised while simulating (by a gate function, channel model or
 // adversary strategy) is recovered and returned as a *PanicError wrapped in
@@ -200,16 +215,25 @@ func Run(c *circuit.Circuit, inputs map[string]signal.Signal, opts Options) (res
 }
 
 type simulation struct {
-	c     *circuit.Circuit
 	opts  Options
 	obs   Observer
-	nodes map[string]*nodeState
-	edges []*edgeState
-	queue eventQueue
-	seq   int64
-	now   float64
-	count int
-	dirty []*nodeState // nodes recorded during the current delta cycle
+	nodes []nodeState
+	edges []edgeState
+	slab  []event // event storage; free holds the reusable slot ids
+	free  []int32
+	heap  []int32 // 4-ary min-heap of slot ids ordered by (at, seq)
+	stims []stimulus
+	// deferred counts scheduled stimuli not yet in the heap; the event
+	// queue's length is len(heap) + deferred.
+	deferred int
+	seq      int64
+	now      float64
+	count    int
+	epoch    uint64 // worklist stamp; bumped per delta round and watch pass
+
+	// Buffers reused across timestamps.
+	batch, touched, changed, next []int32
+	dirty                         []int32 // watched nodes recorded this delta cycle
 
 	stats       RunStats
 	start       time.Time
@@ -218,12 +242,29 @@ type simulation struct {
 }
 
 func newSimulation(c *circuit.Circuit, inputs map[string]signal.Signal, opts Options) (*simulation, error) {
-	s := &simulation{c: c, opts: opts, obs: opts.Observer, nodes: make(map[string]*nodeState), start: time.Now()}
+	s := &simulation{opts: opts, obs: opts.Observer, start: time.Now()}
 
 	// Per-node state with initial values: input ports take the stimulus
-	// initial value, gates their declared initial output.
-	for _, n := range c.Nodes() {
-		ns := &nodeState{node: n}
+	// initial value, gates their declared initial output. The name index
+	// is needed only while wiring the circuit up.
+	nodes := c.Nodes()
+	edges := c.Edges()
+	s.nodes = make([]nodeState, len(nodes))
+	index := make(map[string]int32, len(nodes))
+	npins := 0
+	for _, n := range nodes {
+		switch n.Kind {
+		case circuit.KindGate:
+			npins += n.Fn.Arity
+		case circuit.KindOutput:
+			npins++
+		}
+	}
+	pins := make([]signal.Value, npins)
+	for i, n := range nodes {
+		ns := &s.nodes[i]
+		ns.node = n
+		index[n.Name] = int32(i)
 		switch n.Kind {
 		case circuit.KindInput:
 			in, ok := inputs[n.Name]
@@ -233,85 +274,148 @@ func newSimulation(c *circuit.Circuit, inputs map[string]signal.Signal, opts Opt
 			ns.val = in.Initial()
 		case circuit.KindGate:
 			ns.val = n.Initial
-			ns.pins = make([]signal.Value, n.Fn.Arity)
+			ns.eval = n.Fn.Eval
+			ns.pins, pins = pins[:n.Fn.Arity:n.Fn.Arity], pins[n.Fn.Arity:]
 		case circuit.KindOutput:
-			ns.pins = make([]signal.Value, 1)
+			ns.pins, pins = pins[:1:1], pins[1:]
 		}
-		s.nodes[n.Name] = ns
 	}
 	for name := range inputs {
-		if _, ok := s.nodes[name]; !ok {
+		i, ok := index[name]
+		if !ok {
 			return nil, fmt.Errorf("sim: stimulus for unknown input port %q", name)
 		}
-		if s.nodes[name].node.Kind != circuit.KindInput {
+		if s.nodes[i].node.Kind != circuit.KindInput {
 			return nil, fmt.Errorf("sim: stimulus target %q is not an input port", name)
 		}
 	}
-	for name := range opts.Watch {
-		if _, ok := s.nodes[name]; !ok {
+	for name, mon := range opts.Watch {
+		i, ok := index[name]
+		if !ok {
 			return nil, fmt.Errorf("sim: watch on unknown node %q", name)
 		}
+		s.nodes[i].watch = mon
 	}
 
-	// Pin initial values: channels copy the initial value of their source.
-	for _, e := range c.Edges() {
-		s.nodes[e.To].pins[e.Pin] = s.nodes[e.From].val
-	}
-	// Output port initial values follow their driver.
-	for _, n := range c.Nodes() {
-		if n.Kind == circuit.KindOutput {
-			s.nodes[n.Name].val = s.nodes[n.Name].pins[0]
-		}
-	}
-
-	// Edge channel instances and per-node fanout indices.
-	for i, e := range c.Edges() {
-		es := &edgeState{edge: e}
+	// Edge channel instances; pin initial values copy the initial value of
+	// their source.
+	s.edges = make([]edgeState, len(edges))
+	nfan := make([]int32, len(nodes))
+	for i, e := range edges {
+		es := &s.edges[i]
+		es.from, es.to, es.pin = index[e.From], index[e.To], int32(e.Pin)
 		if e.Model != nil {
 			es.inst = e.Model.NewInstance()
 		}
-		s.edges = append(s.edges, es)
-		src := s.nodes[e.From]
-		src.fanout = append(src.fanout, i)
+		s.nodes[es.to].pins[es.pin] = s.nodes[es.from].val
+		nfan[es.from]++
+	}
+	// Per-node fanout indices, carved out of one backing array.
+	fan := make([]int32, 0, len(edges))
+	for i := range s.nodes {
+		s.nodes[i].fanout = fan[len(fan) : len(fan) : len(fan)+int(nfan[i])]
+		fan = fan[:len(fan)+int(nfan[i])]
+	}
+	for i := range s.edges {
+		ns := &s.nodes[s.edges[i].from]
+		ns.fanout = append(ns.fanout, int32(i))
+	}
+	// Output port initial values follow their driver.
+	for i := range s.nodes {
+		if ns := &s.nodes[i]; ns.node.Kind == circuit.KindOutput {
+			ns.val = ns.pins[0]
+		}
 	}
 
 	s.edgeCancels = make([]int64, len(s.edges))
 
-	// Schedule the input stimuli.
+	// Schedule the input stimuli: every transition is validated, counted
+	// and numbered now; each port's first one enters the heap.
 	for _, name := range c.Inputs() {
-		in := inputs[name]
-		for i := 0; i < in.Len(); i++ {
-			tr := in.Transition(i)
-			if err := s.push(&event{at: tr.At, to: tr.To, edge: -1, node: name}); err != nil {
+		in, i := inputs[name], index[name]
+		s.nodes[i].stim = int32(len(s.stims))
+		s.stims = append(s.stims, stimulus{sig: in, node: i, seq: s.seq})
+		for j := 0; j < in.Len(); j++ {
+			tr := in.Transition(j)
+			if err := s.checkTime(tr.At, i, -1); err != nil {
 				return nil, s.abort(err)
 			}
+			s.seq++
+			s.deferred++
+			s.scheduled()
 			if s.obs != nil {
 				s.obs.EventScheduled(Event{Now: 0, At: tr.At, To: tr.To, Node: name})
 			}
 		}
 	}
+	for k := range s.stims {
+		s.nextStimulus(int32(k))
+	}
 	return s, nil
 }
 
-func (s *simulation) push(e *event) error {
-	// Reject non-finite and time-traveling delivery times before they can
-	// corrupt the heap order (a NaN compares false against everything, so
-	// it would silently break the queue invariant).
-	if !s.opts.noTimeCheck && (math.IsNaN(e.at) || math.IsInf(e.at, 0) || e.at < s.now) {
-		te := &EventTimeError{At: e.at, Now: s.now, Node: e.node}
-		if e.edge >= 0 {
-			te.Channel = s.edgeLabel(e.edge)
-		}
-		return te
+// checkTime rejects non-finite and time-traveling delivery times before
+// they can corrupt the heap order (a NaN compares false against
+// everything, so it would silently break the queue invariant).
+func (s *simulation) checkTime(at float64, node, edge int32) error {
+	if s.opts.noTimeCheck || !(math.IsNaN(at) || math.IsInf(at, 0) || at < s.now) {
+		return nil
+	}
+	te := &EventTimeError{At: at, Now: s.now, Node: s.name(node)}
+	if edge >= 0 {
+		te.Channel = s.edgeLabel(int(edge))
+	}
+	return te
+}
+
+// scheduled counts one newly scheduled event and tracks the queue's high
+// water mark.
+func (s *simulation) scheduled() {
+	s.stats.Scheduled++
+	if n := len(s.heap) + s.deferred; n > s.stats.QueueHighWater {
+		s.stats.QueueHighWater = n
+	}
+}
+
+// push validates a channel output event, numbers it and queues it,
+// returning its slot id.
+func (s *simulation) push(e event) (int32, error) {
+	if err := s.checkTime(e.at, e.node, e.edge); err != nil {
+		return 0, err
 	}
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
-	s.stats.Scheduled++
-	if n := len(s.queue); n > s.stats.QueueHighWater {
-		s.stats.QueueHighWater = n
+	id := s.insert(e)
+	s.scheduled()
+	return id, nil
+}
+
+// insert stores e in a free slab slot and adds it to the heap.
+func (s *simulation) insert(e event) int32 {
+	var id int32
+	if n := len(s.free); n > 0 {
+		id = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[id] = e
+	} else {
+		id = int32(len(s.slab))
+		s.slab = append(s.slab, e)
 	}
-	return nil
+	s.heapPush(id)
+	return id
+}
+
+// nextStimulus moves stimulus k's next transition, if any, into the heap
+// under the sequence number it was given at setup.
+func (s *simulation) nextStimulus(k int32) {
+	st := &s.stims[k]
+	if st.next == st.sig.Len() {
+		return
+	}
+	tr := st.sig.Transition(st.next)
+	s.insert(event{at: tr.At, seq: st.seq + int64(st.next), to: tr.To, edge: -1, node: st.node})
+	st.next++
+	s.deferred--
 }
 
 // edgeLabel returns the "from→to/pin" channel label for edge i, cached
@@ -321,11 +425,14 @@ func (s *simulation) edgeLabel(i int) string {
 		s.edgeLabels = make([]string, len(s.edges))
 	}
 	if s.edgeLabels[i] == "" {
-		e := s.edges[i].edge
-		s.edgeLabels[i] = fmt.Sprintf("%s→%s/%d", e.From, e.To, e.Pin)
+		e := &s.edges[i]
+		s.edgeLabels[i] = fmt.Sprintf("%s→%s/%d", s.name(e.from), s.name(e.to), e.pin)
 	}
 	return s.edgeLabels[i]
 }
+
+// name returns the name of node i.
+func (s *simulation) name(i int32) string { return s.nodes[i].node.Name }
 
 // finalizeStats stamps the wall clock and materializes the per-channel
 // cancellation map (only channels that actually canceled).
@@ -358,20 +465,27 @@ func (s *simulation) run() (*Result, error) {
 		return nil, s.abort(err)
 	}
 
-	for len(s.queue) > 0 {
-		t := s.queue.peek().at
+	for len(s.heap) > 0 {
+		t := s.slab[s.heap[0]].at
 		if t > s.opts.Horizon {
 			break
 		}
-		// Collect every event at exactly this timestamp.
-		var batch []*event
-		for len(s.queue) > 0 && s.queue.peek().at == t {
-			e := heap.Pop(&s.queue).(*event)
+		// Collect every event at exactly this timestamp; tombstones of
+		// canceled events free their slot here.
+		batch := s.batch[:0]
+		for len(s.heap) > 0 && s.slab[s.heap[0]].at == t {
+			id := s.heapPop()
+			e := &s.slab[id]
 			if e.canceled {
+				s.free = append(s.free, id)
 				continue
 			}
-			batch = append(batch, e)
+			if e.edge < 0 {
+				s.nextStimulus(s.nodes[e.node].stim)
+			}
+			batch = append(batch, id)
 		}
+		s.batch = batch
 		if len(batch) == 0 {
 			continue
 		}
@@ -379,10 +493,11 @@ func (s *simulation) run() (*Result, error) {
 		s.count += len(batch)
 		s.stats.Delivered += int64(len(batch))
 		if s.obs != nil {
-			for _, e := range batch {
-				ev := Event{Now: t, At: e.at, To: e.to, Node: e.node}
+			for _, id := range batch {
+				e := &s.slab[id]
+				ev := Event{Now: t, At: e.at, To: e.to, Node: s.name(e.node)}
 				if e.edge >= 0 {
-					ev.Channel = s.edgeLabel(e.edge)
+					ev.Channel = s.edgeLabel(int(e.edge))
 				}
 				s.obs.EventDelivered(ev)
 			}
@@ -408,7 +523,8 @@ func (s *simulation) run() (*Result, error) {
 
 	s.finalizeStats()
 	res := &Result{Signals: make(map[string]signal.Signal, len(s.nodes)), Events: s.count, Horizon: s.opts.Horizon, Stats: s.stats}
-	for name, ns := range s.nodes {
+	for i := range s.nodes {
+		ns := &s.nodes[i]
 		var initial signal.Value
 		switch ns.node.Kind {
 		case circuit.KindGate:
@@ -423,9 +539,9 @@ func (s *simulation) run() (*Result, error) {
 		}
 		sig, err := signal.New(initial, ns.trs...)
 		if err != nil {
-			return nil, &AbortError{Stats: s.stats, Err: fmt.Errorf("sim: node %q recorded invalid signal: %w", name, err)}
+			return nil, &AbortError{Stats: s.stats, Err: fmt.Errorf("sim: node %q recorded invalid signal: %w", ns.node.Name, err)}
 		}
-		res.Signals[name] = sig
+		res.Signals[ns.node.Name] = sig
 	}
 	return res, nil
 }
@@ -433,7 +549,7 @@ func (s *simulation) run() (*Result, error) {
 // deltaCycle applies a batch of simultaneous events at time t and iterates
 // zero-delay propagation until the circuit is stable at this timestamp,
 // recording the round count in the stats histogram.
-func (s *simulation) deltaCycle(t float64, batch []*event) error {
+func (s *simulation) deltaCycle(t float64, batch []int32) error {
 	rounds, err := s.deltaRun(t, batch)
 	if err != nil {
 		return err
@@ -445,51 +561,49 @@ func (s *simulation) deltaCycle(t float64, batch []*event) error {
 	return nil
 }
 
-// deltaRun is the delta-cycle body; it returns the number of evaluation
-// rounds the timestamp needed to stabilize.
-func (s *simulation) deltaRun(t float64, batch []*event) (int, error) {
-	touched := make(map[string]bool) // gates/outputs whose pins changed
-	// changed input-port nodes propagate like gate outputs
-	var changed []string
+// touch adds node i to the worklist unless it is already on it in the
+// current epoch.
+func (s *simulation) touch(i int32) {
+	if ns := &s.nodes[i]; ns.mark != s.epoch {
+		ns.mark = s.epoch
+		s.touched = append(s.touched, i)
+	}
+}
 
-	for _, e := range batch {
-		if e.edge == -1 {
-			ns := s.nodes[e.node]
-			if ns.val != e.to {
+// deltaRun is the delta-cycle body; it returns the number of evaluation
+// rounds the timestamp needed to stabilize. Each round evaluates the
+// worklist of gates and output ports whose pins changed (touched), then
+// propagates the nodes whose value changed (changed) through their fanout;
+// both lists keep insertion order.
+func (s *simulation) deltaRun(t float64, batch []int32) (int, error) {
+	s.epoch++
+	s.touched, s.changed = s.touched[:0], s.changed[:0]
+
+	for _, id := range batch {
+		e := s.slab[id]
+		s.free = append(s.free, id)
+		if e.edge < 0 {
+			// Input-port stimuli propagate like gate outputs.
+			if ns := &s.nodes[e.node]; ns.val != e.to {
 				ns.val = e.to
-				s.record(ns, t, e.to)
-				changed = append(changed, e.node)
+				s.record(e.node, t, e.to)
+				s.changed = append(s.changed, e.node)
 			}
 			continue
 		}
-		es := s.edges[e.edge]
 		// Retire this event from the edge's pending list: per-channel
 		// output times are strictly increasing and canceled events leave
-		// the list when canceled, so the fired event sits at the front —
-		// an O(1) pop instead of a linear scan.
-		if len(es.pending) > 0 && es.pending[0] == e {
-			es.pending[0] = nil
-			es.pending = es.pending[1:]
-		} else {
-			// Defensive fallback for exotic channel models that interleave
-			// same-time outputs.
-			for i, pe := range es.pending {
-				if pe == e {
-					es.pending = append(es.pending[:i], es.pending[i+1:]...)
-					break
-				}
-			}
-		}
-		dst := s.nodes[e.node]
-		dst.pins[e.pin] = e.to
-		touched[e.node] = true
+		// the list when canceled, so the fired event sits at the front.
+		s.edges[e.edge].pending.remove(id)
+		s.nodes[e.node].pins[e.pin] = e.to
+		s.touch(e.node)
 	}
 
 	if batch == nil {
 		// Initial evaluation touches every gate and output port.
-		for _, n := range s.c.Nodes() {
-			if n.Kind != circuit.KindInput {
-				touched[n.Name] = true
+		for i := range s.nodes {
+			if s.nodes[i].node.Kind != circuit.KindInput {
+				s.touch(int32(i))
 			}
 		}
 	}
@@ -499,95 +613,107 @@ func (s *simulation) deltaRun(t float64, batch []*event) (int, error) {
 			return round, fmt.Errorf("%w at t=%g", errOscillation, t)
 		}
 		// Evaluate touched gates and output ports.
-		for name := range touched {
-			ns := s.nodes[name]
+		for _, i := range s.touched {
+			ns := &s.nodes[i]
 			var newV signal.Value
-			switch ns.node.Kind {
-			case circuit.KindGate:
-				newV = ns.node.Fn.Eval(ns.pins)
-			case circuit.KindOutput:
-				newV = ns.pins[0]
+			if ns.eval != nil {
+				newV = ns.eval(ns.pins)
+			} else {
+				newV = ns.pins[0] // output port
 			}
 			if newV != ns.val {
 				ns.val = newV
-				s.record(ns, t, newV)
-				changed = append(changed, name)
+				s.record(i, t, newV)
+				s.changed = append(s.changed, i)
 			}
 		}
-		touched = make(map[string]bool)
-		if len(changed) == 0 {
+		s.touched = s.touched[:0]
+		s.epoch++
+		if len(s.changed) == 0 {
 			return round + 1, nil
 		}
 		// Propagate changes through outgoing edges.
-		next := changed
-		changed = nil
-		for _, name := range next {
-			ns := s.nodes[name]
-			for _, idx := range ns.fanout {
-				es := s.edges[idx]
-				edge := es.edge
+		s.next, s.changed = s.changed, s.next[:0]
+		for _, i := range s.next {
+			v := s.nodes[i].val
+			for _, idx := range s.nodes[i].fanout {
+				es := &s.edges[idx]
 				if es.inst == nil {
 					// Zero-delay edge: deliver within this timestamp.
-					dst := s.nodes[edge.To]
-					dst.pins[edge.Pin] = ns.val
-					touched[edge.To] = true
+					s.nodes[es.to].pins[es.pin] = v
+					s.touch(es.to)
 					continue
 				}
-				act := es.inst.Input(t, ns.val)
-				if act.Cancel {
-					n := len(es.pending)
-					if n == 0 {
-						return round + 1, fmt.Errorf("sim: channel %s→%s canceled with no pending output at t=%g", edge.From, edge.To, t)
-					}
-					last := es.pending[n-1]
-					if last.at <= t {
-						return round + 1, fmt.Errorf("sim: channel %s→%s canceled an already-fired output at t=%g", edge.From, edge.To, t)
-					}
-					last.canceled = true
-					es.pending = es.pending[:n-1]
-					s.stats.Canceled++
-					s.edgeCancels[idx]++
-					if s.obs != nil {
-						s.obs.EventCanceled(Event{Now: t, At: last.at, To: last.to, Node: edge.To, Channel: s.edgeLabel(idx)})
-					}
-				}
-				if act.Schedule {
-					// No defensive clamp here: well-behaved instances clamp
-					// past-due outputs themselves (the documented online
-					// divergence), so a past/non-finite time is a bug in the
-					// producing model and push rejects it as ErrBadEventTime.
-					at := act.At
-					ev := &event{at: at, to: act.To, edge: idx, node: edge.To, pin: edge.Pin}
-					if err := s.push(ev); err != nil {
-						return round + 1, err
-					}
-					es.pending = append(es.pending, ev)
-					if s.obs != nil {
-						s.obs.EventScheduled(Event{Now: t, At: at, To: act.To, Node: edge.To, Channel: s.edgeLabel(idx)})
-					}
-				}
-				for _, ex := range act.Extra {
-					ev := &event{at: ex.At, to: ex.To, edge: idx, node: edge.To, pin: edge.Pin}
-					if err := s.push(ev); err != nil {
-						return round + 1, err
-					}
-					es.pending = append(es.pending, ev)
-					if s.obs != nil {
-						s.obs.EventScheduled(Event{Now: t, At: ex.At, To: ex.To, Node: edge.To, Channel: s.edgeLabel(idx)})
-					}
+				if err := s.input(idx, es, t, v); err != nil {
+					return round + 1, err
 				}
 			}
 		}
-		if len(touched) == 0 {
+		if len(s.touched) == 0 {
 			return round + 1, nil
 		}
 	}
 }
 
-// record appends a transition, annihilating a same-time opposite pair, and
-// marks the node for the post-delta watch pass.
-func (s *simulation) record(ns *nodeState, t float64, v signal.Value) {
-	s.dirty = append(s.dirty, ns)
+// input feeds a transition of edge idx's source into its channel instance
+// and applies the resulting cancel/schedule action.
+func (s *simulation) input(idx int32, es *edgeState, t float64, v signal.Value) error {
+	act := es.inst.Input(t, v)
+	if act.Cancel {
+		last, ok := es.pending.last()
+		if !ok {
+			return fmt.Errorf("sim: channel %s→%s canceled with no pending output at t=%g", s.name(es.from), s.name(es.to), t)
+		}
+		le := &s.slab[last]
+		if le.at <= t {
+			return fmt.Errorf("sim: channel %s→%s canceled an already-fired output at t=%g", s.name(es.from), s.name(es.to), t)
+		}
+		le.canceled = true
+		es.pending.dropLast()
+		s.stats.Canceled++
+		s.edgeCancels[idx]++
+		if s.obs != nil {
+			s.obs.EventCanceled(Event{Now: t, At: le.at, To: le.to, Node: s.name(es.to), Channel: s.edgeLabel(int(idx))})
+		}
+	}
+	if act.Schedule {
+		// No defensive clamp here: well-behaved instances clamp past-due
+		// outputs themselves (the documented online divergence), so a
+		// past/non-finite time is a bug in the producing model and push
+		// rejects it as ErrBadEventTime.
+		if err := s.schedule(idx, es, t, act.At, act.To); err != nil {
+			return err
+		}
+	}
+	for _, ex := range act.Extra {
+		if err := s.schedule(idx, es, t, ex.At, ex.To); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// schedule queues an output transition of edge idx and appends it to the
+// edge's pending list.
+func (s *simulation) schedule(idx int32, es *edgeState, now, at float64, to signal.Value) error {
+	id, err := s.push(event{at: at, to: to, edge: idx, node: es.to, pin: es.pin})
+	if err != nil {
+		return err
+	}
+	es.pending.push(id)
+	if s.obs != nil {
+		s.obs.EventScheduled(Event{Now: now, At: at, To: to, Node: s.name(es.to), Channel: s.edgeLabel(int(idx))})
+	}
+	return nil
+}
+
+// record appends a transition to node i, annihilating a same-time
+// opposite pair, and queues watched nodes for the post-delta watch pass.
+func (s *simulation) record(i int32, t float64, v signal.Value) {
+	ns := &s.nodes[i]
+	if ns.watch != nil {
+		s.dirty = append(s.dirty, i)
+	}
 	if n := len(ns.trs); n > 0 && ns.trs[n-1].At == t && ns.trs[n-1].To == v.Not() {
 		ns.trs = ns.trs[:n-1]
 		s.stats.Annihilated++
@@ -599,26 +725,23 @@ func (s *simulation) record(ns *nodeState, t float64, v signal.Value) {
 	ns.trs = append(ns.trs, signal.Transition{At: t, To: v})
 }
 
-// runWatches invokes monitors for nodes whose recorded signal gained a
-// transition at time t during the just-finished delta cycle (annihilated
-// zero-width artifacts are not reported).
+// runWatches invokes monitors, in first-recorded order, for watched nodes
+// whose recorded signal gained a transition at time t during the
+// just-finished delta cycle (annihilated zero-width artifacts are not
+// reported).
 func (s *simulation) runWatches(t float64) error {
-	if len(s.opts.Watch) == 0 {
-		s.dirty = s.dirty[:0]
+	if len(s.dirty) == 0 {
 		return nil
 	}
-	seen := map[*nodeState]bool{}
-	for _, ns := range s.dirty {
-		if seen[ns] {
+	s.epoch++
+	for _, i := range s.dirty {
+		ns := &s.nodes[i]
+		if ns.mark == s.epoch {
 			continue
 		}
-		seen[ns] = true
-		mon, ok := s.opts.Watch[ns.node.Name]
-		if !ok {
-			continue
-		}
+		ns.mark = s.epoch
 		if n := len(ns.trs); n > 0 && ns.trs[n-1].At == t {
-			if err := mon(t, ns.trs[n-1].To); err != nil {
+			if err := ns.watch(t, ns.trs[n-1].To); err != nil {
 				return &WatchError{Node: ns.node.Name, At: t, Err: err}
 			}
 		}
